@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short race cover bench fuzz torture serve replica elastic results examples fmt vet clean
+.PHONY: all build test test-short race cover bench perfbench fuzz torture serve replica elastic results examples fmt vet clean
 
 all: build test
 
@@ -24,6 +24,13 @@ cover:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Repository benchmark (see perfbench/NOTES.md): the determinism
+# self-test, then one short read-zipf run. Compare two checkouts with
+# perfbench/compare.py.
+perfbench:
+	cd perfbench && $(GO) test ./...
+	bash perfbench/run.sh --workload read-zipf --seed 1 --seconds 5 --trace 0
 
 fuzz:
 	$(GO) test -fuzz FuzzCrashNeverCorruptsFencedData -fuzztime 30s ./internal/nvm/

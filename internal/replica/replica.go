@@ -251,12 +251,14 @@ func (g *Group) DeliverAll() error {
 	return nil
 }
 
-// MinInstalled returns the lowest installed epoch across secondaries —
-// the shard's shadow-snapshot retention floor.
+// MinInstalled returns the lowest installed epoch across live
+// secondaries — the shard's shadow retention floor. Quarantined replicas
+// serve no reads and are never verified, so they do not pin retention;
+// with none live it returns the maximum epoch (no floor).
 func (g *Group) MinInstalled() uint64 {
 	min := ^uint64(0)
 	for _, s := range g.secs {
-		if s.installed < min {
+		if !s.disabled && s.installed < min {
 			min = s.installed
 		}
 	}

@@ -407,3 +407,31 @@ func TestDropAboveQuarantinesAheadReplica(t *testing.T) {
 		t.Fatalf("MinInstalled = %d, want 1", g.MinInstalled())
 	}
 }
+
+func TestMinInstalledSkipsQuarantinedReplicas(t *testing.T) {
+	ctr, g, l := testWorld(t, 2)
+	var ds []*Delta
+	for epoch := 1; epoch <= 2; epoch++ {
+		writePattern(ctr, l, epoch, byte(epoch))
+		ds = append(ds, cutDelta(ctr, l))
+		if err := ctr.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, d := range ds {
+		g.Ship(d, 0)
+	}
+	if err := g.DeliverAll(); err != nil {
+		t.Fatal(err)
+	}
+	// A failover landing at epoch 1 quarantines both replicas (installed
+	// 2). Neither serves reads or is verified again, so neither may hold
+	// the shard's retention floor at its stale epoch.
+	g.DropAbove(1)
+	if !g.Sec(0).Disabled() || !g.Sec(1).Disabled() {
+		t.Fatal("replicas installed ahead of the landing epoch must be quarantined")
+	}
+	if got := g.MinInstalled(); got != ^uint64(0) {
+		t.Fatalf("MinInstalled = %d with every replica quarantined, want no floor", got)
+	}
+}

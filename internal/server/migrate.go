@@ -249,7 +249,7 @@ func (sh *shard) maybeLogMig(op workload.Op) {
 	if !sh.migSpanSet[sh.ring.Slot(op.Key)] {
 		return
 	}
-	v, ok := sh.shadow[op.Key]
+	v, ok := sh.shadow.get(op.Key)
 	sh.migLog = append(sh.migLog, migEnt{key: op.Key, val: v, del: !ok})
 }
 
@@ -295,7 +295,7 @@ func (s *Service) migRound(c *mpi.Comm, sh *shard, b int, justCut, force bool) e
 				if err := sh.kv.Put(p.Key, p.Value); err != nil {
 					return err
 				}
-				sh.shadow[p.Key] = p.Value
+				sh.shadow.put(p.Key, p.Value)
 			}
 		}
 		if sh.id == sh.migSrc {
@@ -343,13 +343,13 @@ func (sh *shard) applyMigLog(log []migEnt) error {
 	for _, e := range log {
 		if e.del {
 			sh.kv.Delete(e.key)
-			delete(sh.shadow, e.key)
+			sh.shadow.del(e.key)
 			continue
 		}
 		if err := sh.kv.Put(e.key, e.val); err != nil {
 			return err
 		}
-		sh.shadow[e.key] = e.val
+		sh.shadow.put(e.key, e.val)
 	}
 	return nil
 }
@@ -455,7 +455,7 @@ func (s *Service) migStart(c *mpi.Comm, sh *shard, b int, kind MigrateKind, src,
 		box.flipsAt = append([]RingFlip(nil), sh.ringFlips...)
 		set := span.SlotSet()
 		var pairs []pds.Pair
-		for k, v := range sh.shadow {
+		for k, v := range sh.shadow.current() {
 			if set[sh.ring.Slot(k)] {
 				pairs = append(pairs, pds.Pair{Key: k, Value: v})
 			}
@@ -524,7 +524,7 @@ func (s *Service) preFlip(c *mpi.Comm, sh *shard) error {
 
 // postFlip runs after the flip cut's commit+barrier: the source deletes
 // the moved keys (next-epoch writes — recovery landing on the flip epoch
-// still finds them, consistently with its pre-deletion snapshot), and a
+// still finds them, consistently with its pre-deletion image), and a
 // merge schedules the source's retirement for the cut after the
 // deletions commit. Purely local; every rank reaches it at the same
 // transition.
@@ -535,7 +535,7 @@ func (s *Service) postFlip(sh *shard) error {
 	sh.flipPending = false
 	if sh.id == sh.migSrc {
 		var keys []uint64
-		for k := range sh.shadow {
+		for k := range sh.shadow.current() {
 			if sh.migSpanSet[sh.ring.Slot(k)] {
 				keys = append(keys, k)
 			}
@@ -543,7 +543,7 @@ func (s *Service) postFlip(sh *shard) error {
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, k := range keys {
 			sh.kv.Delete(k)
-			delete(sh.shadow, k)
+			sh.shadow.del(k)
 		}
 		st := &sh.migStats[len(sh.migStats)-1]
 		st.FlipPS = sh.clock.NowPS()
@@ -679,12 +679,12 @@ func (s *Service) provisionJoined(sh *shard) error {
 	if err := sh.init(ctr, s.cfg.DS, s.cfg.Buckets, s.cfg.Trace); err != nil {
 		return err
 	}
-	sh.snapshotForNextCut() // snaps[1] = {}: the join-epoch image
+	sh.sealShadow() // cut 1 = {}: the join-epoch image
 	if err := sh.ctr.Checkpoint(); err != nil {
 		return fmt.Errorf("server: shard %d bring-up checkpoint: %w", sh.id, err)
 	}
-	// snaps stay keyed by LOCAL epoch (verify paths subtract the offset),
-	// so the existing snapshot bookkeeping works unchanged.
+	// Shadow cuts stay keyed by LOCAL epoch (verify paths subtract the
+	// offset), so the existing retention bookkeeping works unchanged.
 	sh.epochOff = box.joinEpoch - 1
 	sh.ring = box.ringAtJoin.Clone()
 	sh.ringFlips = append([]RingFlip(nil), box.flipsAt...)
@@ -746,7 +746,7 @@ func (s *Service) ringAt(epoch uint64) (*ring.Ring, error) {
 // verifyRetired checks a retired merge source's crashed image: it
 // recovers locally (its frozen committed epoch can only trail the
 // survivors' landing, never exceed it, so no rollback is ever needed) and
-// must match its own snapshot at that epoch.
+// must match its own shadow image at that epoch.
 func (s *Service) verifyRetired(sh *shard, landing uint64) []string {
 	ctr, err := s.reopenBackend(sh.dev)
 	if err != nil {
@@ -762,9 +762,9 @@ func (s *Service) verifyRetired(sh *shard, landing uint64) []string {
 	if err := sh.reattach(ctr, s.cfg.DS); err != nil {
 		return []string{err.Error()}
 	}
-	want, ok := sh.snaps[local]
+	want, ok := sh.shadow.image(local)
 	if !ok {
-		return []string{fmt.Sprintf("no shadow snapshot for retired epoch %d", local)}
+		return []string{fmt.Sprintf("no shadow image for retired epoch %d", local)}
 	}
 	return sh.verify(want)
 }
@@ -853,7 +853,7 @@ func (s *Service) migVerify(res *Result) {
 			misrouted++
 			continue
 		}
-		got, ok := sh.shadow[k]
+		got, ok := sh.shadow.get(k)
 		switch {
 		case !ok:
 			misrouted++
@@ -870,7 +870,7 @@ func (s *Service) migVerify(res *Result) {
 	total := 0
 	for _, sh := range s.shards {
 		if sh != nil {
-			total += len(sh.shadow)
+			total += len(sh.shadow.current())
 		}
 	}
 	if misrouted > 0 || wrong > 0 {

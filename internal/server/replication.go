@@ -152,7 +152,7 @@ func (s *Service) applySLA(sh *shard, seq int, op workload.Op) error {
 }
 
 // applyRead routes one read by the client's SLA, serves it, and verifies
-// any secondary-served value against the cut snapshot of the view the
+// any secondary-served value against the cut image of the view the
 // replica claims. Reads carry no durability, so they acknowledge
 // immediately even while a cut is group-committing writes.
 func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState, op workload.Op) error {
@@ -224,17 +224,16 @@ func (s *Service) applyRead(sh *shard, seq, client int, cs *replica.ClientState,
 }
 
 // checkSecondaryRead verifies a secondary-served value against the cut
-// snapshot of the view the plan claims — the exactness half of the SLA
+// image of the view the plan claims — the exactness half of the SLA
 // guarantees: a view of epoch e means exactly cut e's state, never a torn
 // or in-between image.
 func (sh *shard) checkSecondaryRead(plan replica.Plan, key, v uint64, ok bool) {
-	want, have := sh.snaps[plan.View]
-	if !have {
+	if !sh.shadow.retained(plan.View) {
 		sh.repViol = append(sh.repViol, fmt.Sprintf(
-			"replica %d served view %d with no retained snapshot", plan.Sec, plan.View))
+			"replica %d served view %d with no retained image", plan.Sec, plan.View))
 		return
 	}
-	wv, wok := want[key]
+	wv, wok := sh.shadow.at(plan.View, key)
 	if ok != wok || (ok && v != wv) {
 		sh.repViol = append(sh.repViol, fmt.Sprintf(
 			"replica %d view %d key %d: got %d,%v want %d,%v", plan.Sec, plan.View, key, v, ok, wv, wok))
@@ -243,7 +242,7 @@ func (sh *shard) checkSecondaryRead(plan replica.Plan, key, v uint64, ok bool) {
 
 // verifyReplicas runs the end-of-run replica checks: online verification
 // failures collected while serving, plus a full comparison of every
-// quiesced secondary against the snapshot of its installed epoch.
+// quiesced secondary against the image of its installed epoch.
 func (sh *shard) verifyReplicas() []string {
 	if sh.reps == nil {
 		return nil
@@ -258,9 +257,9 @@ func (sh *shard) verifyReplicas() []string {
 			bad = append(bad, fmt.Sprintf("replica %d never installed a cut", i))
 			continue
 		}
-		want, have := sh.snaps[sec.Installed()]
+		want, have := sh.shadow.image(sec.Installed())
 		if !have {
-			bad = append(bad, fmt.Sprintf("replica %d at epoch %d: no retained snapshot", i, sec.Installed()))
+			bad = append(bad, fmt.Sprintf("replica %d at epoch %d: no retained image", i, sec.Installed()))
 			continue
 		}
 		kv, err := sh.secondaryKV(i)
@@ -292,7 +291,7 @@ func (sh *shard) adoptReplica(sec *replica.Secondary) {
 // recovery protocol — the promotion is just another mpi.Recoverable — and
 // agree on a landing epoch; the routing flip to the promoted replica is
 // recorded atomically at that cut boundary, and every shard is verified
-// against the landing epoch's snapshot: zero acked-across-a-cut ops lost,
+// against the landing epoch's shadow image: zero acked-across-a-cut ops lost,
 // zero applied twice.
 func (s *Service) failover(res *Result) {
 	crashed := res.CrashedShard
@@ -422,9 +421,9 @@ func (s *Service) failover(res *Result) {
 		if err := sh.reattach(ctr, s.cfg.DS); err != nil {
 			return []string{err.Error()}
 		}
-		want, ok := sh.snaps[land]
+		want, ok := sh.shadow.image(land)
 		if !ok {
-			return []string{fmt.Sprintf("no shadow snapshot for landing epoch %d", land)}
+			return []string{fmt.Sprintf("no shadow image for landing epoch %d", land)}
 		}
 		return sh.verify(want)
 	})

@@ -442,7 +442,7 @@ func (r *Result) OK() bool { return len(r.Violations) == 0 }
 // Run executes the service: populate, serve every batch with policy-led
 // coordinated cuts, then either verify all shards against their live
 // shadows (clean runs) or crash, recover, and verify against the
-// recovered epoch's snapshot.
+// recovered epoch's shadow image.
 func (s *Service) Run() (*Result, error) {
 	maxN := s.maxShards()
 	s.shards = make([]*shard, maxN)
@@ -483,12 +483,12 @@ func (s *Service) Run() (*Result, error) {
 		}
 	} else {
 		// Clean run: every shard's KV must equal its live shadow, and
-		// every quiesced secondary must equal the cut snapshot of its
+		// every quiesced secondary must equal the cut image of its
 		// installed epoch. The fan-out parallelism cannot change the
 		// result: each cell reads only its own shard (and its replicas),
 		// and reduction is in shard order.
 		vs := sched.Map(len(s.shards), sched.Options{Workers: s.cfg.Parallel}, func(i int) [2][]string {
-			return [2][]string{s.shards[i].verify(s.shards[i].shadow), s.shards[i].verifyReplicas()}
+			return [2][]string{s.shards[i].verify(s.shards[i].shadow.current()), s.shards[i].verifyReplicas()}
 		})
 		for i, bad := range vs {
 			for _, d := range bad[0] {
@@ -639,7 +639,7 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 		if err := sh.kv.Put(k, k); err != nil {
 			return err
 		}
-		sh.shadow[k] = k
+		sh.shadow.put(k, k)
 	}
 	sh.rec.End()
 	sh.statsBase = sh.dev.Stats()
@@ -868,12 +868,12 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 	return nil
 }
 
-// cut takes one coordinated consistent cut: snapshot the shadow under
-// the epoch about to commit (before the commit, so the snapshot exists
+// cut takes one coordinated consistent cut: seal the shadow under the
+// epoch about to commit (before the commit, so the image exists
 // wherever inside the protocol a crash lands), then run the §3.6
 // commit-then-barrier checkpoint.
 func (s *Service) cut(c *mpi.Comm, sh *shard) error {
-	sh.snapshotForNextCut()
+	sh.sealShadow()
 	var d *replica.Delta
 	if sh.reps != nil {
 		// Capture the delta at the boundary, before the commit mutates
@@ -941,14 +941,14 @@ func (s *Service) dirtyEstimate(sh *shard) uint64 {
 	return sh.dirtyBlockBytes()
 }
 
-// cutBegin opens an incremental cut: snapshot the shadow at the cut
+// cutBegin opens an incremental cut: seal the shadow at the cut
 // boundary (exactly the image the cut will commit — stores that land
 // while the cut is in flight are diverted past it by the write barrier),
 // open the pipeline, and start deferring acks to quantum boundaries.
 // Purely local: every rank reached the identical policy decision, so no
 // coordination is needed until the first quantum's allreduce.
 func (s *Service) cutBegin(sh *shard) error {
-	sh.snapshotForNextCut()
+	sh.sealShadow()
 	if sh.reps != nil {
 		// Capture now — Begin moves the dirty set into the cut — but ship
 		// only at the commit barrier: an aborted in-flight cut must never
@@ -1037,7 +1037,7 @@ func (s *Service) crashPolicy(shardID int) nvm.CrashPolicy {
 // restart: every device crashes, every container reopens with recovery
 // deferred, the ranks agree on the minimum committed epoch (rolling
 // back any shard that committed one ahead), and each recovered KV is
-// verified against the shadow snapshot of the landing epoch.
+// verified against the shadow image of the landing epoch.
 func (s *Service) recoverAll(res *Result) {
 	for _, sh := range s.shards {
 		sh.dev.CrashWith(s.crashPolicy(sh.id))
@@ -1117,9 +1117,9 @@ func (s *Service) recoverAll(res *Result) {
 			return []string{err.Error()}
 		}
 		local := epoch - sh.epochOff
-		want, ok := sh.snaps[local]
+		want, ok := sh.shadow.image(local)
 		if !ok {
-			return []string{fmt.Sprintf("no shadow snapshot for landing epoch %d (local %d)", epoch, local)}
+			return []string{fmt.Sprintf("no shadow image for landing epoch %d (local %d)", epoch, local)}
 		}
 		return sh.verify(want)
 	})

@@ -64,12 +64,10 @@ type shard struct {
 	kv    pds.KV
 	rec   *obs.Recorder
 
-	// shadow mirrors every acked mutation; snaps holds its copies at the
-	// last two cuts, keyed by the committed epoch each cut produced.
-	// Coordinated recovery can land at most one epoch behind a shard's
-	// latest commit, so two retained cuts always cover the landing epoch.
-	shadow map[uint64]uint64
-	snaps  map[uint64]map[uint64]uint64
+	// shadow mirrors every acked mutation and keeps the image of each
+	// retained cut, keyed by the committed epoch the cut produced
+	// (sealShadow sets the retention floor).
+	shadow *shadow
 
 	acked    uint64 // ops acked since serving started
 	sinceCut uint64 // ops acked since the last cut
@@ -171,8 +169,7 @@ func newShardShell(id, deviceSize int) *shard {
 		id:     id,
 		dev:    dev,
 		clock:  dev.Clock(),
-		shadow: make(map[uint64]uint64),
-		snaps:  make(map[uint64]map[uint64]uint64),
+		shadow: newShadow(),
 		lat:    measure.NewHistogram(latencyBounds),
 		pause:  measure.NewHistogram(obs.PauseBounds),
 		migSrc: -1,
@@ -281,7 +278,7 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 		if err := sh.kv.Put(op.Key, op.Value); err != nil {
 			return err
 		}
-		sh.shadow[op.Key] = op.Value
+		sh.shadow.put(op.Key, op.Value)
 	case workload.OpScan:
 		sh.kv.Scan(op.Key, op.ScanLen)
 	case workload.OpRMW:
@@ -290,10 +287,10 @@ func (sh *shard) apply(seq int, op workload.Op) error {
 		if err := sh.kv.Put(op.Key, v); err != nil {
 			return err
 		}
-		sh.shadow[op.Key] = v
+		sh.shadow.put(op.Key, v)
 	case workload.OpDelete:
 		sh.kv.Delete(op.Key)
-		delete(sh.shadow, op.Key)
+		sh.shadow.del(op.Key)
 	default:
 		return fmt.Errorf("server: shard %d: unknown op kind %v", sh.id, op.Kind)
 	}
@@ -344,36 +341,21 @@ func (sh *shard) observePause(ps int64) {
 	}
 }
 
-// snapshotForNextCut copies the shadow under the epoch the in-flight cut
-// will commit. Taken BEFORE the commit starts, so the snapshot exists no
-// matter where inside the commit a crash lands; older cuts beyond the
-// two-epoch recovery window are pruned.
-func (sh *shard) snapshotForNextCut() {
+// sealShadow seals the shadow's image under the epoch the in-flight cut
+// will commit. Taken BEFORE the commit starts, so the image exists no
+// matter where inside the commit a crash lands. The retention floor keeps
+// the recovery window: coordinated recovery lands at most one epoch
+// behind a shard's latest commit, so cuts next-1 and next cover it. With
+// replicas it reaches down to the slowest live secondary's installed cut,
+// since secondary-served reads are verified against the image of the
+// view they claim (installed never exceeds committed here).
+func (sh *shard) sealShadow() {
 	next := sh.ctr.CommittedEpoch() + 1
-	cp := make(map[uint64]uint64, len(sh.shadow))
-	for k, v := range sh.shadow {
-		cp[k] = v
-	}
-	sh.snaps[next] = cp
+	floor := next - 1
 	if sh.reps != nil {
-		// Replicated retention floor: secondary-served reads are verified
-		// against the snapshot of the view they claim, so every epoch from
-		// the slowest replica's installed cut up must stay (the recovery
-		// window next-1 included — installed never exceeds committed here).
-		floor := sh.reps.MinInstalled()
-		if next-1 < floor {
-			floor = next - 1
-		}
-		for e := range sh.snaps {
-			if e < floor {
-				delete(sh.snaps, e)
-			}
-		}
-		return
+		floor = min(floor, sh.reps.MinInstalled())
 	}
-	if next >= 2 {
-		delete(sh.snaps, next-2)
-	}
+	sh.shadow.seal(next, floor)
 }
 
 // dirtyBlockBytes estimates the shard's pending checkpoint footprint.
