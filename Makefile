@@ -26,11 +26,12 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Repository benchmark (see perfbench/NOTES.md): the determinism
-# self-test, then one short read-zipf run. Compare two checkouts with
-# perfbench/compare.py.
+# self-test, then one short read-zipf run and one short crash-failover
+# sweep. Compare two checkouts with perfbench/compare.py.
 perfbench:
 	cd perfbench && $(GO) test ./...
 	bash perfbench/run.sh --workload read-zipf --seed 1 --seconds 5 --trace 0
+	bash perfbench/run.sh --workload crash-failover --seed 1 --seconds 5 --trace 0
 
 fuzz:
 	$(GO) test -fuzz FuzzCrashNeverCorruptsFencedData -fuzztime 30s ./internal/nvm/

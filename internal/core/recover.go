@@ -63,13 +63,16 @@ func (c *Container) Recover() error {
 	// are no longer zero (default mode reads the main region directly).
 	if c.opts.Mode == ModeDefault {
 		c.rec.Begin("scrub")
-		zero := make([]byte, c.l.SegSize)
+		var zero []byte // allocated by the first segment that needs it
 		for s := 0; s < c.l.NMain; s++ {
 			if c.meta.SegState(eIdx, s) != region.SSInitial {
 				continue
 			}
 			off := c.l.MainOff(s)
 			if !isZero(c.dev.Working()[off : off+c.l.SegSize]) {
+				if zero == nil {
+					zero = make([]byte, c.l.SegSize)
+				}
 				c.dev.NTStore(off, zero)
 				restored += int64(c.l.SegSize)
 			}

@@ -31,7 +31,9 @@ type Device struct {
 	// content from before l's first unfenced overwrite at
 	// undo[l*LineSize:(l+1)*LineSize]. It grows geometrically up to the
 	// device size and is never shrunk, so the steady-state flush path
-	// performs no allocation. Bytes for non-pending lines are stale.
+	// performs no allocation. Bytes for non-pending lines are stale (a
+	// recycled arena keeps another device's stale bytes: only pending
+	// lines are ever read, and markPending writes them first).
 	undo []byte
 	// pendLo/pendHi bound the pending lines (inclusive; pendHi < 0 means
 	// none), so per-fence accounting walks only the bitmap words that can
@@ -62,6 +64,10 @@ type Device struct {
 	// the crash points a torture sweep must visit, and replaying with
 	// FailAfter(k) for k < PrimitiveCount() crashes at primitive k+1.
 	primCount int64
+
+	// released is set by Release: the memory above belongs to the pool
+	// (or to a newer device), and every memory-touching call panics.
+	released bool
 }
 
 // OpKind classifies the device primitive at which an injected crash fired.
@@ -114,7 +120,10 @@ func (c InjectedCrash) Error() string {
 
 // FailAfter schedules an InjectedCrash panic after n more primitives
 // (stores, loads, flushes, fences). n < 0 disables injection.
-func (d *Device) FailAfter(n int64) { d.failAfter = n }
+func (d *Device) FailAfter(n int64) {
+	d.mustLive()
+	d.failAfter = n
+}
 
 // PrimitiveCount returns the number of primitives executed so far, at the
 // same granularity FailAfter counts them.
@@ -127,10 +136,18 @@ func (d *Device) tick(kind OpKind) {
 		return
 	}
 	if d.failAfter == 0 {
-		d.failAfter = -1
-		panic(InjectedCrash{Index: d.primCount, Kind: kind})
+		d.fire(kind)
 	}
 	d.failAfter--
+}
+
+// fire raises the panic an expired countdown stands for: the injected
+// crash, or the use-after-release panic Release arms through the same
+// countdown (so the primitives' fast path carries no extra check).
+func (d *Device) fire(kind OpKind) {
+	d.mustLive()
+	d.failAfter = -1
+	panic(InjectedCrash{Index: d.primCount, Kind: kind})
 }
 
 // Option configures a Device.
@@ -157,19 +174,22 @@ func WithEvictionFuzz(p float64, rng *rand.Rand) Option {
 }
 
 // NewDevice creates a device of the given size in bytes (rounded up to a
-// whole number of cache lines) with zeroed media.
+// whole number of cache lines) with zeroed media. It reuses the memory of
+// a released device of the same size when one is available (see Release).
 func NewDevice(size int, opts ...Option) *Device {
 	if size <= 0 {
 		panic("nvm: non-positive device size")
 	}
 	size = (size + LineSize - 1) / LineSize * LineSize
+	m := takeMemory(size)
 	d := &Device{
 		size:      size,
-		media:     make([]byte, size),
-		working:   make([]byte, size),
-		dirty:     bitmap.New(size / LineSize),
-		pending:   bitmap.New(size / LineSize),
-		crashSkip: bitmap.New(size / LineSize),
+		media:     m.media,
+		working:   m.working,
+		undo:      m.undo,
+		dirty:     m.dirty,
+		pending:   m.pending,
+		crashSkip: m.crashSkip,
 		clock:     NewClock(),
 		cost:      currentDefaultCostModel(),
 		failAfter: -1,
@@ -197,11 +217,15 @@ func (d *Device) Stats() Stats { return d.stats }
 // directly (charging load costs themselves where appropriate) but must
 // perform all writes through Store/StoreBulk/NTStore so that dirty-line
 // tracking stays exact.
-func (d *Device) Working() []byte { return d.working }
+func (d *Device) Working() []byte {
+	d.mustLive()
+	return d.working
+}
 
 // MediaSnapshot returns a copy of the durable media contents, for tests that
 // compare pre- and post-crash durable state.
 func (d *Device) MediaSnapshot() []byte {
+	d.mustLive()
 	out := make([]byte, d.size)
 	copy(out, d.media)
 	return out
@@ -500,7 +524,10 @@ func (d *Device) WBINVD() {
 }
 
 // DirtyLineCount returns the number of cache lines currently dirty.
-func (d *Device) DirtyLineCount() int { return d.dirty.Count() }
+func (d *Device) DirtyLineCount() int {
+	d.mustLive()
+	return d.dirty.Count()
+}
 
 // CrashWith simulates a power failure under an explicit CrashPolicy: the
 // policy decides, line by line, whether each in-flight flush completed and
@@ -513,6 +540,7 @@ func (d *Device) DirtyLineCount() int { return d.dirty.Count() }
 // history — produces a reproducible crash image (a Go map walk here would
 // tie the outcome to map iteration order).
 func (d *Device) CrashWith(p CrashPolicy) int {
+	d.mustLive()
 	persisted := 0
 	// In-flight flushes: roll back the losers to their pre-flush media
 	// content.
@@ -560,6 +588,7 @@ func (d *Device) CrashPersistAll() { d.CrashWith(PersistAll) }
 // affected lines is discarded, as the fault model targets quiescent images
 // rather than in-flight traffic.
 func (d *Device) CorruptRange(off, n int) {
+	d.mustLive()
 	if n <= 0 {
 		return
 	}
@@ -580,6 +609,7 @@ func (d *Device) CorruptRange(off, n int) {
 // contents for it are discarded), as after the power failure that tore the
 // write. cut must be in [0, MediaGranularity].
 func (d *Device) TornWrite(off, cut int) {
+	d.mustLive()
 	if cut < 0 || cut > MediaGranularity {
 		panic(fmt.Sprintf("nvm: torn-write cut %d outside [0,%d]", cut, MediaGranularity))
 	}

@@ -14,6 +14,7 @@ const mediaMagic uint64 = 0x4352504d4e564d31 // "CRPMNVM1"
 // and reopened by a later process. Cache contents (unflushed lines) are NOT
 // included, faithfully modelling an image taken at power-off.
 func (d *Device) WriteMediaTo(w io.Writer) error {
+	d.mustLive()
 	var hdr [16]byte
 	binary.LittleEndian.PutUint64(hdr[0:], mediaMagic)
 	binary.LittleEndian.PutUint64(hdr[8:], uint64(d.size))

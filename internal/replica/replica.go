@@ -200,6 +200,15 @@ func NewGroup(shard int, cfg Config) (*Group, error) {
 	return g, nil
 }
 
+// Release returns every secondary's device to the nvm device pool
+// (nvm.Device.Release). The group, its secondaries and their containers
+// must not be used afterwards; a second call is a no-op.
+func (g *Group) Release() {
+	for _, s := range g.secs {
+		s.dev.Release()
+	}
+}
+
 // Len returns the secondary count.
 func (g *Group) Len() int { return len(g.secs) }
 

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 
 	"libcrpm/internal/alloc"
@@ -80,9 +81,7 @@ func (sh *shard) captureDelta() *replica.Delta {
 		Images: make([][]byte, len(segs)),
 	}
 	for i, seg := range segs {
-		img := make([]byte, l.SegSize)
-		copy(img, heapImg[seg*l.SegSize:(seg+1)*l.SegSize])
-		d.Images[i] = img
+		d.Images[i] = bytes.Clone(heapImg[seg*l.SegSize : (seg+1)*l.SegSize])
 		d.Bytes += l.SegSize
 	}
 	return d

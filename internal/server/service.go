@@ -540,6 +540,25 @@ func (s *Service) Run() (*Result, error) {
 	return res, nil
 }
 
+// Release returns every device the last Run built to the nvm device pool
+// (nvm.Device.Release): each shard primary, including ranks a split joined
+// and sources a merge retired, and every secondary, promoted or not. It is
+// valid once Run has returned, with or without an error (Run joins every
+// rank before returning or re-panicking). The service's shards must not be
+// touched afterwards; the Result and PrimitiveSpans stay valid, as they
+// hold no device memory. A second call is a no-op.
+func (s *Service) Release() {
+	for _, sh := range s.shards {
+		if sh == nil {
+			continue
+		}
+		sh.dev.Release()
+		if sh.reps != nil {
+			sh.reps.Release()
+		}
+	}
+}
+
 // Recorders returns each shard's trace recorder from the last Run, in
 // shard order (nil entries when tracing was off). Sweeps fold them into
 // figure-level traces.

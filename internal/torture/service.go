@@ -210,6 +210,9 @@ func serviceReplay(base server.Config, crashShard int, pol Policy, sla string, a
 	if err != nil {
 		return []ServiceViolation{{CrashShard: crashShard, Policy: pol.Name, SLA: sla, Index: at, Shard: -1, Stage: "config", Detail: err.Error()}}
 	}
+	// The replay's devices go back to the pool for the next cell, whether
+	// Run returned or panicked (it joins every rank either way).
+	defer svc.Release()
 	res, err := svc.Run()
 	if err != nil {
 		return []ServiceViolation{{CrashShard: crashShard, Policy: pol.Name, SLA: sla, Index: at, Shard: -1, Stage: "run", Detail: err.Error()}}

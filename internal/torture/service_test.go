@@ -209,3 +209,44 @@ func TestServiceSweepKillPrimaryDeterministicReport(t *testing.T) {
 		t.Fatalf("%d violations, first: %v", len(a.Violations), a.Violations[0])
 	}
 }
+
+// BenchmarkServiceReplay is the L6 rung of the performance ladder: one
+// kill-primary crash-replay-recover-verify cycle at the geometry of the
+// benchmark's crash-failover sweep (2 shards, 1 secondary each, 150 keys,
+// 1 MiB heaps, pause:2µs cuts), crashing shard 0 mid-span under the
+// seeded policy. Each iteration builds, serves, fails over, verifies and
+// releases a whole service, so ns/op, B/op and allocs/op are per replay.
+func BenchmarkServiceReplay(b *testing.B) {
+	base := server.Config{
+		Shards:   2,
+		Clients:  4,
+		Mix:      workload.YCSBCrud,
+		Ops:      2000,
+		Keys:     150,
+		HeapSize: 1 << 20,
+		Buckets:  1 << 9,
+		BatchOps: 128,
+		Policy:   server.NewPausePolicy(2 * time.Microsecond),
+		Replicas: 1,
+		Seed:     1,
+		Liveness: true,
+	}
+	ref, err := server.New(base)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := ref.Run(); err != nil {
+		b.Fatal(err)
+	}
+	ref.Release()
+	span := ref.PrimitiveSpans()[0]
+	at := span[0] + (span[1]-span[0])/2
+	pol := StandardPolicies(base.Seed)[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if vs := serviceReplay(base, 0, pol, "", at, true); len(vs) != 0 {
+			b.Fatalf("replay at %d: %v", at, vs[0])
+		}
+	}
+}

@@ -390,12 +390,14 @@ func runScript(c System, script []Step, shadows map[uint64][]byte) {
 
 // replay reruns the script on a fresh device with a crash injected after
 // primitive k, applies the policy, then recovers and verifies. Returns the
-// violation found, or nil.
+// violation found, or nil. The device goes back to the pool once the
+// verdict is in.
 func replay(cfg Config, mode Mode, pol Policy, fault Fault, script []Step, shadows map[uint64][]byte, k int64) *Violation {
 	dev, c, err := mode.fresh(cfg)
 	if err != nil {
 		return &Violation{Mode: mode.Name, Policy: pol.Name, Fault: fault.Name, Index: k, Stage: "setup", Detail: err.Error()}
 	}
+	defer dev.Release()
 	// k is an absolute primitive index (counted from device creation, like
 	// the reference run); the countdown starts now, after Format already
 	// consumed dev.PrimitiveCount() primitives.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"libcrpm/internal/nvm"
+	"libcrpm/internal/region"
 )
 
 func report(t *testing.T, res Result) {
@@ -173,5 +174,45 @@ func TestPanicBecomesViolation(t *testing.T) {
 				t.Fatalf("parallel=%d: even crash point %d reported a panic", parallel, v.Index)
 			}
 		}
+	}
+}
+
+// TestSweepOnRecycledDevices runs a strided sweep whose replays build
+// their devices from memory released dirty: every byte non-zero, lines
+// pending and dirty, a crash injection armed. Recycling must not leak any
+// of it into a replay — the sweep still visits every point of the same
+// grid and finds nothing.
+func TestSweepOnRecycledDevices(t *testing.T) {
+	cfg := Config{Checksums: true, Liveness: true, Stride: 23}
+	l, err := region.NewLayout(cfg.withDefaults().Region)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	junk := make([]byte, l.DeviceSize())
+	for i := range junk {
+		junk[i] = byte(i*7 + 1)
+	}
+	for i := 0; i < 8; i++ {
+		d := nvm.NewDevice(l.DeviceSize())
+		d.NTStore(0, junk)
+		d.SFence()
+		d.Store(100, []byte{0xFF})
+		d.CLWB(100)
+		d.Store(l.DeviceSize()-1, []byte{0xFF})
+		d.FailAfter(3)
+		d.Release()
+	}
+	got, err := Sweep(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report(t, got)
+	if got.Replays != want.Replays || fmt.Sprint(got.Points) != fmt.Sprint(want.Points) {
+		t.Fatalf("sweep on recycled devices visited %d points %v, want %d %v",
+			got.Replays, got.Points, want.Replays, want.Points)
 	}
 }
