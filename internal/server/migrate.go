@@ -596,7 +596,7 @@ func (s *Service) retireRound(c *mpi.Comm, sh *shard) (done bool, err error) {
 // jumped on the destination clock, and flips ride forced cuts. A pending
 // retirement is simply dropped — the merged-away source stays a (empty)
 // member and is verified normally.
-func (s *Service) migEndDrain(c *mpi.Comm, sh *shard, incremental bool) error {
+func (s *Service) migEndDrain(c *mpi.Comm, sh *shard) error {
 	for {
 		switch sh.migPhase {
 		case migIdle:
@@ -612,27 +612,10 @@ func (s *Service) migEndDrain(c *mpi.Comm, sh *shard, incremental bool) error {
 				return err
 			}
 		case migFlipReady:
-			if err := s.preFlip(c, sh); err != nil {
+			if err := s.startCut(c, sh); err != nil {
 				return err
 			}
-			if !incremental {
-				if err := s.cut(c, sh); err != nil {
-					return err
-				}
-			} else {
-				if err := s.cutBegin(sh); err != nil {
-					return err
-				}
-				cutting, committed := true, false
-				for cutting {
-					var err error
-					cutting, committed, err = s.cutStep(c, sh, committed)
-					if err != nil {
-						return err
-					}
-				}
-			}
-			if err := s.postFlip(sh); err != nil {
+			if err := s.finishCut(c, sh); err != nil {
 				return err
 			}
 		}
@@ -712,13 +695,11 @@ func (s *Service) provisionJoined(sh *shard) error {
 // cut numbering for the coordinated recovery protocol, so epoch agreement
 // and the at-most-one-behind rollback rule operate in one epoch space.
 type offsetRecoverable struct {
-	ctr CutBackend
+	mpi.Recoverable
 	off uint64
 }
 
-func (o offsetRecoverable) CommittedEpoch() uint64  { return o.off + o.ctr.CommittedEpoch() }
-func (o offsetRecoverable) RollbackOneEpoch() error { return o.ctr.RollbackOneEpoch() }
-func (o offsetRecoverable) Recover() error          { return o.ctr.Recover() }
+func (o offsetRecoverable) CommittedEpoch() uint64 { return o.off + o.Recoverable.CommittedEpoch() }
 
 // ringAt reconstructs the ring as of a global cut epoch by replaying the
 // longest recorded flip log's prefix at or below it over the boot ring.

@@ -123,6 +123,36 @@ func TestMigrationSequence(t *testing.T) {
 	}
 }
 
+// TestMigrationForcedAtEnd drives migEndDrain's forced start and flip: a
+// migration gated past the run's last policy cut must still start, ship
+// and flip at close-out, on both cut paths. The flip rides the run's final
+// cut, and the whole run verifies clean.
+func TestMigrationForcedAtEnd(t *testing.T) {
+	for _, budget := range []int{0, 64 << 10} {
+		for _, spec := range []MigrateSpec{
+			{Kind: MigrateSplit, Src: 0, AfterCuts: 1000},
+			{Kind: MigrateMerge, Src: 1, Dst: 0, AfterCuts: 1000},
+		} {
+			cfg := migCfg()
+			cfg.StepBudget = budget
+			cfg.Migrations = []MigrateSpec{spec}
+			res := runMig(t, cfg)
+			if !res.OK() {
+				t.Fatalf("budget %d %s: violations: %v", budget, spec.Kind, res.Violations)
+			}
+			if res.Cuts >= spec.AfterCuts {
+				t.Fatalf("budget %d %s: %d cuts reach AfterCuts %d; the start is not forced", budget, spec.Kind, res.Cuts, spec.AfterCuts)
+			}
+			if len(res.Migrations) != 1 {
+				t.Fatalf("budget %d %s: recorded %d migrations, want 1", budget, spec.Kind, len(res.Migrations))
+			}
+			if m := res.Migrations[0]; m.Kind != string(spec.Kind) || m.FlipEpoch != uint64(res.Cuts) {
+				t.Fatalf("budget %d %s: migration %+v, want its flip on the final cut %d", budget, spec.Kind, m, res.Cuts)
+			}
+		}
+	}
+}
+
 // TestMigrationIncrementalPipeline rides the flip on an incremental cut:
 // the ring must flip at the commit transition of the quantum pipeline,
 // not at a stop-the-world pause.

@@ -5,14 +5,11 @@ import (
 	"fmt"
 
 	"libcrpm/internal/alloc"
-	"libcrpm/internal/core"
 	"libcrpm/internal/heap"
 	"libcrpm/internal/measure"
-	"libcrpm/internal/mpi"
 	"libcrpm/internal/obs"
 	"libcrpm/internal/pds"
 	"libcrpm/internal/replica"
-	"libcrpm/internal/sched"
 	"libcrpm/internal/workload"
 )
 
@@ -280,158 +277,4 @@ func (sh *shard) adoptReplica(sec *replica.Secondary) {
 	sh.clock = sec.Clock()
 	sh.ctr = sec.Container()
 	sh.core = sec.Container()
-}
-
-// failover models losing the crashed shard's node outright and restoring
-// service from its replica set. The outage is global, so the surviving
-// shards power-fail and reopen from their own devices exactly as in
-// recoverAll; the lost shard is instead represented by a Promotion of its
-// most-current secondary. All ranks then run the unmodified coordinated
-// recovery protocol — the promotion is just another mpi.Recoverable — and
-// agree on a landing epoch; the routing flip to the promoted replica is
-// recorded atomically at that cut boundary, and every shard is verified
-// against the landing epoch's shadow image: zero acked-across-a-cut ops lost,
-// zero applied twice.
-func (s *Service) failover(res *Result) {
-	crashed := res.CrashedShard
-	n := len(s.shards)
-	for _, sh := range s.shards {
-		if sh.id != crashed {
-			sh.dev.CrashWith(s.crashPolicy(sh.id))
-		}
-	}
-	ctrs := make([]*core.Container, n)
-	rerrs := make([]error, n)
-	proms := make([]*replica.Promotion, n)
-	w := mpi.NewWorld(n)
-	w.Run(func(c *mpi.Comm) {
-		defer func() {
-			if r := recover(); r != nil {
-				if _, ok := r.(mpi.Aborted); !ok {
-					panic(r)
-				}
-			}
-		}()
-		rank := c.Rank()
-		sh := s.shards[rank]
-		var rec mpi.Recoverable
-		var frec *obs.Recorder
-		if rank == crashed {
-			prom, err := sh.reps.Promotion()
-			if err != nil {
-				rerrs[rank] = err
-				c.Abort()
-				return
-			}
-			proms[rank] = prom
-			c.AttachClock(prom.Secondary().Clock())
-			rec, frec = prom, prom.Secondary().Recorder()
-		} else {
-			c.AttachClock(sh.clock)
-			ctr, err := core.OpenContainerDeferRecovery(sh.dev, s.opts)
-			if err != nil {
-				rerrs[rank] = fmt.Errorf("reopen: %w", err)
-				c.Abort()
-				return
-			}
-			ctrs[rank] = ctr
-			rec, frec = ctr, sh.rec
-		}
-		frec.Begin("failover")
-		err := mpi.Recover(c, rec)
-		frec.End()
-		if err != nil {
-			rerrs[rank] = fmt.Errorf("recover: %w", err)
-			c.Abort()
-			return
-		}
-		// Publish the promotion so every node flips its routing to the
-		// same replica at the same cut boundary, and check the agreement
-		// while still inside the world: every survivor must have landed
-		// exactly on the epoch the promoted replica resumed from.
-		var id, at uint64
-		if rank == crashed {
-			id = uint64(proms[rank].Secondary().ID())
-			at = proms[rank].Secondary().Installed()
-		}
-		id = c.BcastU64(crashed, id)
-		at = c.BcastU64(crashed, at)
-		if rank != crashed && ctrs[rank].CommittedEpoch() != at {
-			rerrs[rank] = fmt.Errorf("recover: landed on epoch %d, promoted replica %d announced %d",
-				ctrs[rank].CommittedEpoch(), id, at)
-			c.Abort()
-		}
-	})
-	for i, err := range rerrs {
-		if err != nil {
-			res.Violations = append(res.Violations, Violation{Shard: i, Stage: "recover", Detail: err.Error()})
-		}
-	}
-	if len(res.Violations) > 0 {
-		return
-	}
-	prom := proms[crashed]
-	if prom == nil {
-		res.Violations = append(res.Violations, Violation{Shard: crashed, Stage: "recover", Detail: "promotion never completed"})
-		return
-	}
-	land := prom.Secondary().Installed()
-	for i, ctr := range ctrs {
-		if i == crashed {
-			continue
-		}
-		if ctr == nil {
-			res.Violations = append(res.Violations, Violation{Shard: i, Stage: "recover", Detail: "recovery aborted"})
-			continue
-		}
-		if e := ctr.CommittedEpoch(); e != land {
-			res.Violations = append(res.Violations, Violation{
-				Shard: i, Stage: "epoch",
-				Detail: fmt.Sprintf("recovered to epoch %d, promoted replica to %d", e, land),
-			})
-		}
-	}
-	if len(res.Violations) > 0 {
-		return
-	}
-	res.Recovered, res.RecoveredEpoch = true, land
-	res.FailedOver = true
-	res.PromotedReplica = prom.Secondary().ID()
-	res.PromotedEpoch = land
-	s.router.Promote(crashed, prom.Secondary().ID(), land)
-	s.shards[crashed].adoptReplica(prom.Secondary())
-	for _, sh := range s.shards {
-		// Cuts beyond the landing epoch never globally committed: drop
-		// them from every receive buffer, and quarantine any survivor's
-		// secondary that had already installed ahead of the landing.
-		sh.reps.DropAbove(land)
-	}
-	if land == 0 {
-		// Lost the shard before the populate cut committed anywhere:
-		// nothing was ever acked across a cut, nothing to verify.
-		return
-	}
-	vs := sched.Map(n, sched.Options{Workers: s.cfg.Parallel}, func(i int) []string {
-		sh := s.shards[i]
-		var ctr CutBackend = ctrs[i]
-		if i == crashed {
-			ctr = sh.ctr // the adopted replica's container
-		}
-		if err := sh.reattach(ctr, s.cfg.DS); err != nil {
-			return []string{err.Error()}
-		}
-		want, ok := sh.shadow.image(land)
-		if !ok {
-			return []string{fmt.Sprintf("no shadow image for landing epoch %d", land)}
-		}
-		return sh.verify(want)
-	})
-	for i, bad := range vs {
-		for _, d := range bad {
-			res.Violations = append(res.Violations, Violation{Shard: i, Stage: "verify", Detail: d})
-		}
-	}
-	if len(res.Violations) == 0 && s.cfg.Liveness {
-		s.liveness(res, s.shards)
-	}
 }

@@ -84,6 +84,9 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Shards: 0, Clients: 1, Keys: 10, Ops: 1}); err == nil {
 		t.Fatal("zero shards should fail")
 	}
+	if _, err := New(Config{Shards: 1, Clients: 1, Keys: 10, Ops: 1, BatchOps: -1}); err == nil {
+		t.Fatal("negative batch size should fail")
+	}
 }
 
 // TestCleanRunAllMixes: every YCSB mix serves to completion with the KV

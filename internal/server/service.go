@@ -198,6 +198,9 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Buckets == 0 {
 		c.Buckets = 1 << 17
 	}
+	if c.BatchOps < 0 {
+		return c, fmt.Errorf("server: negative batch size %d", c.BatchOps)
+	}
 	if c.BatchOps == 0 {
 		c.BatchOps = 2048
 	}
@@ -476,11 +479,7 @@ func (s *Service) Run() (*Result, error) {
 
 	res := &Result{CrashedShard: crashedRank}
 	if crashedRank >= 0 {
-		if s.cfg.Replicas > 0 {
-			s.failover(res)
-		} else {
-			s.recoverAll(res)
-		}
+		s.recoverAll(res)
 	} else {
 		// Clean run: every shard's KV must equal its live shadow, and
 		// every quiesced secondary must equal the cut image of its
@@ -662,7 +661,7 @@ func (s *Service) serve(c *mpi.Comm, sh *shard) error {
 	}
 	sh.rec.End()
 	sh.statsBase = sh.dev.Stats()
-	if err := s.cut(c, sh); err != nil {
+	if err := s.cutNow(c, sh); err != nil {
 		return err
 	}
 	sh.primBase = sh.dev.PrimitiveCount()
@@ -699,8 +698,6 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 			idx = len(my)
 		}
 	}
-	incremental := s.cfg.StepBudget > 0
-	cutting, committed := false, false
 	for b := startBatch; b < s.batches; b++ {
 		if !sh.inEpoch {
 			sh.rec.Begin("epoch")
@@ -742,21 +739,11 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 				return err
 			}
 		}
-		if cutting {
+		if sh.cutting {
 			// An incremental cut is in flight: one bounded checkpoint
 			// quantum between request batches instead of a policy round.
-			wasCommitted := committed
-			var err error
-			cutting, committed, err = s.cutStep(c, sh, committed)
-			if err != nil {
+			if err := s.stepCut(c, sh); err != nil {
 				return err
-			}
-			if !wasCommitted && committed {
-				// The cut just landed globally: a pending ring flip is now
-				// published; the source drops its moved keys.
-				if err := s.postFlip(sh); err != nil {
-					return err
-				}
 			}
 			continue
 		}
@@ -788,26 +775,9 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 			}
 		}
 		if doCut {
-			if sh.migPhase == migFlipReady {
-				// The ownership flip rides this cut: hand over the final
-				// residual and flip every ring clone before the commit.
-				if err := s.preFlip(c, sh); err != nil {
-					return err
-				}
-			}
-			if !incremental {
-				if err := s.cut(c, sh); err != nil {
-					return err
-				}
-				if err := s.postFlip(sh); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := s.cutBegin(sh); err != nil {
+			if err := s.startCut(c, sh); err != nil {
 				return err
 			}
-			cutting, committed = true, false
 			continue
 		}
 		if s.migratory() {
@@ -827,45 +797,24 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 	}
 	// Drain an in-flight cut before closing out: the pipeline must be
 	// idle for end-of-run verification (and any final monolithic cut).
-	for cutting {
-		wasCommitted := committed
-		var err error
-		cutting, committed, err = s.cutStep(c, sh, committed)
-		if err != nil {
-			return err
-		}
-		if !wasCommitted && committed {
-			if err := s.postFlip(sh); err != nil {
-				return err
-			}
-		}
+	if err := s.finishCut(c, sh); err != nil {
+		return err
 	}
 	if s.migratory() {
 		// Force every remaining migration through to its flip so the ring
 		// is quiescent for verification.
-		if err := s.migEndDrain(c, sh, incremental); err != nil {
+		if err := s.migEndDrain(c, sh); err != nil {
 			return err
 		}
 	}
 	if c.AllreduceU64(sh.sinceCut, mpi.Sum) > 0 {
-		if !incremental {
-			if err := s.cut(c, sh); err != nil {
-				return err
-			}
-		} else {
-			// Close out through the pipeline as well: the run's pause
-			// profile stays budgeted all the way to the last ack.
-			if err := s.cutBegin(sh); err != nil {
-				return err
-			}
-			cutting, committed = true, false
-			for cutting {
-				var err error
-				cutting, committed, err = s.cutStep(c, sh, committed)
-				if err != nil {
-					return err
-				}
-			}
+		// Under the pipeline the close-out cut drains in quanta as well:
+		// the run's pause profile stays budgeted all the way to the last ack.
+		if err := s.startCut(c, sh); err != nil {
+			return err
+		}
+		if err := s.finishCut(c, sh); err != nil {
+			return err
 		}
 	} else {
 		c.Barrier() // align end-of-run clocks
@@ -884,49 +833,6 @@ func (s *Service) serveLoop(c *mpi.Comm, sh *shard, startBatch int) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// cut takes one coordinated consistent cut: seal the shadow under the
-// epoch about to commit (before the commit, so the image exists
-// wherever inside the protocol a crash lands), then run the §3.6
-// commit-then-barrier checkpoint.
-func (s *Service) cut(c *mpi.Comm, sh *shard) error {
-	sh.sealShadow()
-	var d *replica.Delta
-	if sh.reps != nil {
-		// Capture the delta at the boundary, before the commit mutates
-		// the dirty set (a pure DRAM copy: no device primitives, so
-		// crash-injection points are untouched).
-		d = sh.captureDelta()
-	}
-	t0 := sh.clock.NowPS()
-	sh.rec.Begin("ckpt-pause")
-	if err := mpi.Checkpoint(c, sh.ctr); err != nil {
-		return err
-	}
-	sh.rec.End()
-	if sh.reps != nil {
-		// The cut is globally committed (commit plus barrier behind us);
-		// the shipped payload rides that fence, so every replicated delta
-		// corresponds to a cut recovery can land on.
-		sh.shipDelta(d)
-	}
-	pause := sh.clock.NowPS() - t0
-	if sh.inEpoch {
-		sh.rec.End() // epoch
-		sh.inEpoch = false
-	}
-	if sh.rec.Enabled() {
-		stats := sh.dev.Stats()
-		sh.rec.RecordEpoch(stats.Sub(sh.statsBase), pause)
-		sh.statsBase = stats
-	}
-	sh.observePause(pause)
-	sh.cuts++
-	sh.sinceCut = 0
-	sh.cutStartPS = sh.clock.NowPS()
-	sh.roundPS = sh.cutStartPS
 	return nil
 }
 
@@ -960,20 +866,25 @@ func (s *Service) dirtyEstimate(sh *shard) uint64 {
 	return sh.dirtyBlockBytes()
 }
 
-// cutBegin opens an incremental cut: seal the shadow at the cut
-// boundary (exactly the image the cut will commit — stores that land
-// while the cut is in flight are diverted past it by the write barrier),
-// open the pipeline, and start deferring acks to quantum boundaries.
-// Purely local: every rank reached the identical policy decision, so no
-// coordination is needed until the first quantum's allreduce.
-func (s *Service) cutBegin(sh *shard) error {
-	sh.sealShadow()
-	if sh.reps != nil {
-		// Capture now — Begin moves the dirty set into the cut — but ship
-		// only at the commit barrier: an aborted in-flight cut must never
-		// reach a secondary.
-		sh.pendDelta = sh.captureDelta()
+// startCut opens the cut the policy just called for. A ready ownership
+// flip rides it: the final residual is handed over and every ring clone
+// flips before the commit. Stop-the-world runs then take the whole cut
+// (cutNow); under the pipeline the cut only opens here and drains through
+// stepCut quanta between request batches.
+func (s *Service) startCut(c *mpi.Comm, sh *shard) error {
+	if sh.migPhase == migFlipReady {
+		if err := s.preFlip(c, sh); err != nil {
+			return err
+		}
 	}
+	if s.cfg.StepBudget == 0 {
+		return s.cutNow(c, sh)
+	}
+	// Begin is purely local: every rank reached the identical policy
+	// decision, so no coordination is needed until the first quantum's
+	// allreduce. Stores that land while the cut is in flight are diverted
+	// past it by the write barrier, and acks defer to quantum boundaries.
+	sh.sealCut()
 	t0 := sh.clock.NowPS()
 	sh.rec.Begin("ckpt-begin")
 	err := sh.core.CheckpointBegin()
@@ -983,20 +894,32 @@ func (s *Service) cutBegin(sh *shard) error {
 	}
 	sh.observePause(sh.clock.NowPS() - t0)
 	sh.groupAck = true
-	sh.sinceCut = 0
+	sh.cutting, sh.committed = true, false
 	return nil
 }
 
-// cutStep advances an in-flight incremental cut by one quantum and
-// handles its two global transitions: commit-plus-barrier once the flush
-// remainder reaches zero everywhere (the cut lands; epoch bookkeeping
-// happens here), and pipeline completion once the replay remainder does.
-// Returns the updated (cutting, committed) state.
-func (s *Service) cutStep(c *mpi.Comm, sh *shard, committed bool) (bool, bool, error) {
+// cutNow takes one stop-the-world coordinated cut, the §3.6
+// commit-then-barrier checkpoint. The populate cut uses it directly.
+func (s *Service) cutNow(c *mpi.Comm, sh *shard) error {
+	sh.sealCut()
+	t0 := sh.clock.NowPS()
+	sh.rec.Begin("ckpt-pause")
+	if err := mpi.Checkpoint(c, sh.ctr); err != nil {
+		return err
+	}
+	sh.rec.End()
+	return s.landed(sh, sh.clock.NowPS()-t0)
+}
+
+// stepCut advances the in-flight cut by one quantum and handles its two
+// global transitions: commit-plus-barrier once the flush remainder reaches
+// zero everywhere (the cut lands), and pipeline completion once the
+// replay remainder does.
+func (s *Service) stepCut(c *mpi.Comm, sh *shard) error {
 	t0 := sh.clock.NowPS()
 	rem, err := sh.core.CheckpointStep(s.cfg.StepBudget)
 	if err != nil {
-		return false, false, err
+		return err
 	}
 	if step := sh.clock.NowPS() - t0; step > 0 {
 		sh.observePause(step)
@@ -1004,42 +927,63 @@ func (s *Service) cutStep(c *mpi.Comm, sh *shard, committed bool) (bool, bool, e
 	}
 	sh.releaseAcks()
 	if c.AllreduceU64(uint64(rem), mpi.Sum) > 0 {
-		return true, committed, nil
+		return nil
 	}
-	if !committed {
+	if !sh.committed {
 		// Globally drained: flip the epoch, then barrier so every rank
 		// holds both epochs before any rank's replay may overwrite
 		// epoch e state (§3.6's commit-then-barrier, incrementally).
 		t1 := sh.clock.NowPS()
 		sh.rec.Begin("ckpt-pause")
 		if err := sh.core.CheckpointCommit(); err != nil {
-			return false, false, err
+			return err
 		}
 		c.Barrier()
 		sh.rec.End()
-		pause := sh.clock.NowPS() - t1
-		sh.observePause(pause)
-		if sh.inEpoch {
-			sh.rec.End() // epoch
-			sh.inEpoch = false
-		}
-		if sh.rec.Enabled() {
-			stats := sh.dev.Stats()
-			sh.rec.RecordEpoch(stats.Sub(sh.statsBase), pause)
-			sh.statsBase = stats
-		}
-		if sh.reps != nil && sh.pendDelta != nil {
-			sh.shipDelta(sh.pendDelta)
-			sh.pendDelta = nil
-		}
-		sh.cuts++
-		sh.cutStartPS = sh.clock.NowPS()
-		sh.roundPS = sh.cutStartPS
-		return true, true, nil
+		sh.committed = true
+		return s.landed(sh, sh.clock.NowPS()-t1)
 	}
 	// Replay drained everywhere: the pipeline is idle.
 	sh.groupAck = false
-	return false, false, nil
+	sh.cutting = false
+	return nil
+}
+
+// finishCut drains an in-flight cut to idle; a no-op when none is open.
+func (s *Service) finishCut(c *mpi.Comm, sh *shard) error {
+	for sh.cutting {
+		if err := s.stepCut(c, sh); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// landed is the bookkeeping of a globally committed cut, shared by both
+// cut paths. The captured delta ships only now: it rides the commit
+// barrier, so every replicated delta corresponds to a cut recovery can
+// land on, and an aborted in-flight cut never reaches a secondary. A
+// pending ring flip is published by the same commit, so the source drops
+// its moved keys here.
+func (s *Service) landed(sh *shard, pause int64) error {
+	if sh.pendDelta != nil {
+		sh.shipDelta(sh.pendDelta)
+		sh.pendDelta = nil
+	}
+	if sh.inEpoch {
+		sh.rec.End() // epoch
+		sh.inEpoch = false
+	}
+	if sh.rec.Enabled() {
+		stats := sh.dev.Stats()
+		sh.rec.RecordEpoch(stats.Sub(sh.statsBase), pause)
+		sh.statsBase = stats
+	}
+	sh.observePause(pause)
+	sh.cuts++
+	sh.cutStartPS = sh.clock.NowPS()
+	sh.roundPS = sh.cutStartPS
+	return s.postFlip(sh)
 }
 
 // crashPolicy resolves one shard's line fates at the global power
@@ -1053,12 +997,22 @@ func (s *Service) crashPolicy(shardID int) nvm.CrashPolicy {
 }
 
 // recoverAll models the global power failure and the coordinated
-// restart: every device crashes, every container reopens with recovery
-// deferred, the ranks agree on the minimum committed epoch (rolling
-// back any shard that committed one ahead), and each recovered KV is
-// verified against the shadow image of the landing epoch.
+// restart. Every device crashes and every container reopens with recovery
+// deferred — except, with replicas, the crashed shard's: its node is lost
+// outright, and its rank presents a replica.Promotion of its most-current
+// secondary as its mpi.Recoverable instead. The ranks run the unmodified
+// coordinated protocol, agree on the minimum committed epoch (rolling back
+// any member that committed one ahead), and must all land on it; a
+// promotion then flips the shard's routing to the replica atomically at
+// that cut boundary. Each recovered KV is verified against the shadow
+// image of the landing epoch: zero acked-across-a-cut ops lost, zero
+// applied twice.
 func (s *Service) recoverAll(res *Result) {
+	failover := s.cfg.Replicas > 0
 	for _, sh := range s.shards {
+		if failover && sh.id == res.CrashedShard {
+			continue // the node is gone; its secondaries take over
+		}
 		sh.dev.CrashWith(s.crashPolicy(sh.id))
 	}
 	// Membership at the failure: a merged-away source that already retired
@@ -1077,7 +1031,9 @@ func (s *Service) recoverAll(res *Result) {
 	}
 	n := len(members)
 	ctrs := make([]CutBackend, n)
+	epochs := make([]uint64, n)
 	rerrs := make([]error, n)
+	var promoted *replica.Secondary
 	w := mpi.NewWorld(n)
 	w.Run(func(c *mpi.Comm) {
 		defer func() {
@@ -1089,19 +1045,42 @@ func (s *Service) recoverAll(res *Result) {
 		}()
 		rank := c.Rank()
 		sh := members[rank]
-		c.AttachClock(sh.clock)
-		ctr, err := s.reopenBackend(sh.dev)
-		if err != nil {
-			rerrs[rank] = fmt.Errorf("reopen: %w", err)
-			c.Abort()
-			return
+		clk, rec := sh.clock, sh.rec
+		var ctr CutBackend
+		var rc mpi.Recoverable
+		if failover && sh.id == res.CrashedShard {
+			prom, err := sh.reps.Promotion()
+			if err != nil {
+				rerrs[rank] = err
+				c.Abort()
+				return
+			}
+			promoted = prom.Secondary()
+			clk, rec, ctr, rc = promoted.Clock(), promoted.Recorder(), promoted.Container(), prom
+		} else {
+			var err error
+			if ctr, err = s.reopenBackend(sh.dev); err != nil {
+				rerrs[rank] = fmt.Errorf("reopen: %w", err)
+				c.Abort()
+				return
+			}
+			rc = ctr
 		}
-		if err := mpi.Recover(c, offsetRecoverable{ctr: ctr, off: sh.epochOff}); err != nil {
+		c.AttachClock(clk)
+		if failover {
+			rec.Begin("failover")
+		}
+		rc = offsetRecoverable{Recoverable: rc, off: sh.epochOff}
+		err := mpi.Recover(c, rc)
+		if failover {
+			rec.End()
+		}
+		if err != nil {
 			rerrs[rank] = fmt.Errorf("recover: %w", err)
 			c.Abort()
 			return
 		}
-		ctrs[rank] = ctr
+		ctrs[rank], epochs[rank] = ctr, rc.CommittedEpoch()
 	})
 	for i, err := range rerrs {
 		if err != nil {
@@ -1111,9 +1090,9 @@ func (s *Service) recoverAll(res *Result) {
 	if len(res.Violations) > 0 {
 		return
 	}
-	epoch := members[0].epochOff + ctrs[0].CommittedEpoch()
-	for i, ctr := range ctrs {
-		if e := members[i].epochOff + ctr.CommittedEpoch(); e != epoch {
+	epoch := epochs[0]
+	for i, e := range epochs {
+		if e != epoch {
 			res.Violations = append(res.Violations, Violation{
 				Shard: members[i].id, Stage: "epoch",
 				Detail: fmt.Sprintf("recovered to global epoch %d, shard %d to %d", e, members[0].id, epoch),
@@ -1124,6 +1103,18 @@ func (s *Service) recoverAll(res *Result) {
 		return
 	}
 	res.Recovered, res.RecoveredEpoch = true, epoch
+	if promoted != nil {
+		res.FailedOver = true
+		res.PromotedReplica, res.PromotedEpoch = promoted.ID(), epoch
+		s.router.Promote(res.CrashedShard, promoted.ID(), epoch)
+		s.shards[res.CrashedShard].adoptReplica(promoted)
+		for _, sh := range s.shards {
+			// Cuts beyond the landing epoch never globally committed: drop
+			// them from every receive buffer, and quarantine any survivor's
+			// secondary that had already installed ahead of the landing.
+			sh.reps.DropAbove(epoch)
+		}
+	}
 	if epoch == 0 {
 		// Crash before the populate cut committed anywhere: nothing was
 		// ever acked across a cut, so there is nothing to verify (the

@@ -84,6 +84,9 @@ type shard struct {
 	inEpoch   bool
 	simEndPS  int64
 
+	// The in-flight incremental cut: cutting while the pipeline is open,
+	// committed once its commit-plus-barrier landed (replay may remain).
+	cutting, committed bool
 	// Group commit (incremental cuts): while groupAck is set, apply defers
 	// acks into pendAcks; releaseAcks acknowledges them after the next
 	// checkpoint quantum's fence, so per-op latency absorbs the fence wait.
@@ -149,7 +152,7 @@ type shard struct {
 	ds                   DSKind
 	reps                 *replica.Group
 	secKV                []pds.KV       // lazily opened read handles over secondary containers
-	pendDelta            *replica.Delta // captured at cutBegin, shipped at the commit barrier
+	pendDelta            *replica.Delta // captured when a cut opens, shipped once it lands
 	cstate               []replica.ClientState
 	readLat              *measure.Histogram // SLA-routed read latency (RTT + replica work)
 	stale                *measure.Histogram // staleness of secondary-served reads, epochs
@@ -356,6 +359,19 @@ func (sh *shard) sealShadow() {
 		floor = min(floor, sh.reps.MinInstalled())
 	}
 	sh.shadow.seal(next, floor)
+}
+
+// sealCut opens a cut at the current boundary: the shadow image the cut
+// will commit is sealed, the replica delta is captured before the commit
+// (or Begin) mutates the dirty set — a pure DRAM copy, no device
+// primitives, so crash-injection points are untouched — and the op count
+// toward the next cut restarts.
+func (sh *shard) sealCut() {
+	sh.sealShadow()
+	if sh.reps != nil {
+		sh.pendDelta = sh.captureDelta()
+	}
+	sh.sinceCut = 0
 }
 
 // dirtyBlockBytes estimates the shard's pending checkpoint footprint.
